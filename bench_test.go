@@ -161,7 +161,7 @@ func BenchmarkEngineTheorem2MinWait(b *testing.B) {
 // with partition failure detectors.
 func BenchmarkEngineTheorem10QuorumMin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, _, err := Theorem10Construction(5, 2, 80000)
+		rep, _, err := newSearcher(b, Options{}).Theorem10Construction(context.Background(), 5, 2, 80000)
 		if err != nil {
 			b.Fatal(err)
 		}

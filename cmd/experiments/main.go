@@ -58,7 +58,7 @@ func run(args []string) int {
 	store := fs.String("store", "", "search memory regime: inmem (default), frontier (visited keys + two BFS levels only), or spill (frontier + sealed levels on disk); see README, Memory & checkpoints")
 	checkpoint := fs.String("checkpoint", "", "directory for pausing truncated bounded searches and resuming them on the next run (requires -store frontier or spill)")
 	faults := fs.String("faults", "", "fault model of state-space search adversaries beyond crashes: model[:budget[:maxfaulty]] with model send-omission, receive-omission, or byzantine (default crash-only); see README, Fault models")
-	packed := fs.String("packed", "", "configuration engine: off (default, pointer-based) or on/auto (packed struct-of-arrays records where the algorithm supports them; bit-identical results, lower memory and time); see README, Packed engine")
+	packed := fs.String("packed", "", "configuration engine: off (default, pointer-based) or on (packed struct-of-arrays records where the algorithm supports them; bit-identical results, lower memory and time); see README, Packed engine")
 	writeGolden := fs.String("write-golden", "", "write each table to <dir>/<ID>.txt instead of stdout")
 	instance := fs.String("instance", "", "run one verification job (service.InstanceSpec JSON) instead of the experiment suite and print its verdict and level profile as JSON")
 	shards := fs.Int("shards", 1, "worker processes for the -instance search (1 = single-process; results are bit-identical at every count)")

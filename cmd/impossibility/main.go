@@ -42,7 +42,7 @@ func run() int {
 		store     = flag.String("store", "", "search memory regime: inmem (default), frontier (visited keys + two BFS levels only), or spill (frontier + sealed levels on disk)")
 		ckpt      = flag.String("checkpoint", "", "directory for pausing truncated bounded <D-bar> searches and resuming them on the next run (requires -store frontier or spill and -strategy bfs)")
 		faults    = flag.String("faults", "", "fault model of the <D-bar> adversary beyond crashes: model[:budget[:maxfaulty]] with model send-omission, receive-omission, or byzantine (default crash-only)")
-		packed    = flag.String("packed", "", "configuration engine: off (default, pointer-based) or on/auto (packed struct-of-arrays records where the algorithm supports them; bit-identical verdicts, lower memory and time)")
+		packed    = flag.String("packed", "", "configuration engine: off (default, pointer-based) or on (packed struct-of-arrays records where the algorithm supports them; bit-identical verdicts, lower memory and time)")
 		verbose   = flag.Bool("v", false, "print the per-condition explanation")
 	)
 	flag.Parse()
@@ -55,8 +55,7 @@ func run() int {
 	// One Searcher value carries every search knob (and validates the store
 	// and fault spellings); both the Theorem 10 path and the generic engine
 	// path below search through it, so a knob cannot be wired into one path
-	// and silently dropped from the other — the drift the old
-	// globals-mirroring helper papered over.
+	// and silently dropped from the other.
 	search, err := kset.NewSearcher(kset.Options{
 		Workers:    *workers,
 		Symmetry:   *symmetry,

@@ -102,17 +102,10 @@ func ExperimentTheorem2Border(p E1Params) (*Table, error) {
 	return t, nil
 }
 
-// VerifyTheorem2Row runs the engine for one (n, f, k) inside the bound and
-// returns the report — the programmatic form of an E1 row, used by tests.
-// It reads the deprecated Search* globals via DefaultSearcher; new code
-// should call the Searcher method.
-func VerifyTheorem2Row(n, f, k, maxConfigs int) (*core.Report, error) {
-	return DefaultSearcher().VerifyTheorem2Row(context.Background(), n, f, k, maxConfigs)
-}
-
 // VerifyTheorem2Row runs the Theorem 2 engine instance for one (n, f, k)
 // inside the bound with this Searcher's knobs: MinWait under the Lemma 3
-// partition with a one-crash subsystem adversary.
+// partition with a one-crash subsystem adversary — the programmatic form of
+// an E1 row.
 func (s *Searcher) VerifyTheorem2Row(ctx context.Context, n, f, k, maxConfigs int) (*core.Report, error) {
 	spec, err := core.Theorem2Partition(n, f, k)
 	if err != nil {

@@ -145,20 +145,13 @@ func theorem10Row(s *Searcher, n, k, maxConfigs int) ([]string, error) {
 }
 
 // Theorem10Construction runs the Theorem 1 pipeline in the Theorem 10
-// setting for the Sigma_k candidate algorithm: D-bar = {p_1..p_{n-k+1}},
-// singleton decider groups, partition detector histories for the solo runs
-// (Definition 7), an alive-set Sigma restricted to D-bar plus a fixed
-// leader pair for the subsystem exploration (the detector Gamma of the
-// paper's condition (C) discussion), and Lemma 12's merged run over all k
-// partitions. It returns the engine report and the merged-run report. It
-// reads the deprecated Search* globals via DefaultSearcher; new code should
-// call the Searcher method.
-func Theorem10Construction(n, k, maxConfigs int) (*core.Report, *core.MergedGroupsReport, error) {
-	return DefaultSearcher().Theorem10Construction(context.Background(), n, k, maxConfigs)
-}
-
-// Theorem10Construction runs the Theorem 10 pipeline with this Searcher's
-// knobs; see the package-level function for the construction's anatomy.
+// setting for the Sigma_k candidate algorithm with this Searcher's knobs:
+// D-bar = {p_1..p_{n-k+1}}, singleton decider groups, partition detector
+// histories for the solo runs (Definition 7), an alive-set Sigma restricted
+// to D-bar plus a fixed leader pair for the subsystem exploration (the
+// detector Gamma of the paper's condition (C) discussion), and Lemma 12's
+// merged run over all k partitions. It returns the engine report and the
+// merged-run report.
 func (s *Searcher) Theorem10Construction(ctx context.Context, n, k, maxConfigs int) (*core.Report, *core.MergedGroupsReport, error) {
 	spec, err := core.Theorem10Partition(n, k)
 	if err != nil {

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,11 @@ func part2() {
 		k = 3 // 2 <= k <= n-2: the impossible band of Corollary 13
 	)
 	fmt.Printf("--- Theorem 10 construction: n=%d, k=%d with (Sigma'_%d, Omega'_%d) ---\n", n, k, k, k)
-	rep, merged, err := kset.Theorem10Construction(n, k, 80000)
+	search, err := kset.NewSearcher(kset.Options{})
+	if err != nil {
+		log.Fatalf("searcher: %v", err)
+	}
+	rep, merged, err := search.Theorem10Construction(context.Background(), n, k, 80000)
 	if err != nil {
 		log.Fatalf("construction: %v", err)
 	}

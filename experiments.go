@@ -91,9 +91,8 @@ func Experiments() []Experiment {
 
 // ExperimentsWith is Experiments with an explicit search configuration for
 // the search-driven experiments (E1, E5, E6, E13, E14, E15); nil means
-// default options (never the deprecated Search* globals — pass
-// DefaultSearcher() explicitly to honour those). Experiments that run no
-// condition-(C) search are unaffected by the Searcher.
+// default options. Experiments that run no condition-(C) search are
+// unaffected by the Searcher.
 func ExperimentsWith(s *Searcher) []Experiment {
 	return []Experiment{
 		{"E1", "Theorem 2: impossibility border k <= (n-1)/(n-f)", func() (*Table, error) {
@@ -116,7 +115,7 @@ func ExperimentsWith(s *Searcher) []Experiment {
 		{"E10", "Ablation: deterministic kernel vs goroutine runtime", func() (*Table, error) { return ExperimentRuntimeAblation() }},
 		{"E11", "Discussion outlook: partitioning in the Heard-Of round model", func() (*Table, error) { return ExperimentRoundModel() }},
 		{"E12", "Synchrony ladder: protocols across the Section II model dimensions", func() (*Table, error) { return ExperimentSynchronyLadder() }},
-		{"E13", "Memory-bounded exploration: uniform Theorem 2 beyond the in-memory arena", func() (*Table, error) {
+		{"E13", "Memory-bounded exploration: uniform Theorem 2 beyond the in-memory store", func() (*Table, error) {
 			p := DefaultE13Params()
 			p.Search = s
 			return ExperimentBoundedExploration(p)

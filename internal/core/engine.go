@@ -102,18 +102,18 @@ type Instance struct {
 	Symmetry bool
 
 	// SearchStore selects the memory regime of the condition-(C)
-	// exploration: "" or "inmem" for the default arena-backed engine,
-	// "frontier" to retain only the compact fingerprint visited set plus the
-	// current and next BFS levels (witnesses reconstruct by bounded
-	// re-search), "spill" to additionally stream sealed levels to disk. The
-	// bounded stores apply to breadth-first searches in full and to DFS as a
-	// cons-list-path engine; results are bit-identical to the in-memory
-	// engine in every mode (see explore.Options.Store).
+	// exploration's breadth-first searches: "" or "inmem" keeps each BFS
+	// level's 8-byte generation records in memory, "frontier" drops them
+	// (witnesses reconstruct by bounded re-search), "spill" streams them to
+	// disk. Every store retains the compact fingerprint visited set plus the
+	// current and next BFS levels, DFS runs the same engine in every mode,
+	// and results are bit-identical across stores (see
+	// explore.Options.Store).
 	SearchStore string
 
 	// SearchPacked selects the configuration engine of the condition-(C)
 	// exploration in explore.ParsePacked form: "" or "off" for the pointer
-	// engine, "on"/"auto" for the packed struct-of-arrays engine with
+	// engine, "on" for the packed struct-of-arrays engine with
 	// silent fallback where unsupported (explore.Options.Packed). Like
 	// SearchWorkers and SearchStore it is excluded from InstanceDigest —
 	// verdicts are bit-identical across engines.
@@ -137,8 +137,8 @@ type Instance struct {
 
 	// OnSearchProgress, when non-nil, receives periodic progress from the
 	// condition-(C) exploration (explore.Options.OnProgress): the cumulative
-	// visited count and the sealed BFS level, or level -1 from engines that
-	// do not track depth. Called from the search goroutine; must be fast.
+	// visited count and the sealed BFS level, or level -1 from depth-first
+	// searches. Called from the search goroutine; must be fast.
 	OnSearchProgress func(visited, level int)
 
 	// OnSnapshotError, when non-nil, is notified once if the condition-(C)

@@ -147,11 +147,11 @@ func BenchmarkPORSearch(b *testing.B) {
 // BenchmarkFrontierOnlySearch times the same exhaustive uniform-input
 // Theorem 2 search (MinWait{F:1}, four interchangeable processes, one late
 // crash — no witness exists, so all ~42683 configurations are visited)
-// under the in-memory arena store and the frontier-only bounded store.
-// Both variants are gated in CI (cmd/benchgate) with the -benchmem B/op and
-// allocs/op columns: the pair pins the bounded engine's time overhead
-// against the arena engine AND the per-state allocation profile of each —
-// the bounded store's reason to exist is the B/op column. Both report
+// under the in-memory store and the frontier-only bounded store. Both
+// variants are gated in CI (cmd/benchgate) with the -benchmem B/op and
+// allocs/op columns: the pair pins the frontier-only store's time overhead
+// against the in-memory store AND the per-state allocation profile of each
+// — the frontier-only store's reason to exist is the B/op column. Both report
 // nodes/op (identical by the bit-identity guarantee; benchgate shows the
 // delta, which must be zero).
 func BenchmarkFrontierOnlySearch(b *testing.B) {

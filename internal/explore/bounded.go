@@ -1,21 +1,18 @@
 package explore
 
-// This file implements the memory-bounded search engines selected by
-// Options.Store. The in-memory engines of search.go and parallel.go retain
-// one arena node (parent index + action) per visited configuration so a
-// witness replays by walking parent chains; on exhaustive verification
-// workloads — the searches that visit millions of configurations precisely
-// because no witness exists — that arena, not the frontier, dominates the
-// footprint.
+// This file implements the breadth-first driver behind every BFS witness
+// search, at every Options.Store and worker count. The driver keeps, per
+// visited configuration, only its revisit key in the compact visitedSet of
+// visited.go (~16 B/state) plus the live configurations of the current and
+// next BFS levels. Parentage is redundant: the traversal is fully
+// deterministic, so each level is a pure function of the previous one. The
+// driver therefore records, per level, the sequence of generation records
+// (parent position in the previous level, action) into a level sink chosen
+// by the store:
 //
-// The bounded breadth-first engine keeps, per visited configuration, only
-// its revisit key in the compact visitedSet of visited.go (~16 B/state) plus
-// the live configurations of the current and next BFS levels. What it drops
-// is the per-node parentage, which is only ever needed when a witness is
-// found — and parentage is redundant: the traversal is fully deterministic,
-// so each level is a pure function of the previous one. The engine therefore
-// records, per level, the sequence of generation records (parent position in
-// the previous level, action) into a pluggable sink:
+//   - StoreInMemory keeps them in memory, 8 bytes per record. A goal hit at
+//     depth d reads its witness path straight off the records — one record
+//     per level, walking backwards.
 //
 //   - StoreFrontierOnly discards them as levels seal. If a goal
 //     configuration is found at depth d, the witness path is reconstructed
@@ -30,19 +27,17 @@ package explore
 //     random access and checkpoints are written by streaming re-read, both
 //     without re-searching.
 //
-// Truncation at MaxConfigs becomes a pause instead of a dead end: with
-// Options.Checkpoint set, the paused state (the level logs — everything
-// else regenerates from them) is persisted and a later search of the same
-// instance resumes exactly where this one stopped; see checkpoint.go.
+// Truncation at MaxConfigs becomes a pause instead of a dead end for the
+// bounded stores: with Options.Checkpoint set, the paused state (the level
+// logs — everything else regenerates from them) is persisted and a later
+// search of the same instance resumes exactly where this one stopped; see
+// checkpoint.go. A truncated in-memory search drops its records instead.
 //
-// Both bounded engines — the serial loop below and the chunked parallel
-// frontier built on expandLevel of parallel.go — visit configurations in
-// exactly the sequential in-memory order, so verdicts, stats, truncation
-// behaviour, and reconstructed witnesses are bit-identical to the arena
-// engines at every worker count. The depth-first twin at the bottom of the
-// file keeps witnesses as immutable cons-list paths hanging off the stack
-// (dead branches are garbage-collected), which bounds DFS memory by the
-// visited-key set plus the live stack.
+// The serial loop of runBounded and the chunked parallel frontier of
+// runBoundedParallel (built on expandLevel of parallel.go) visit
+// configurations in the same order, so verdicts, stats, truncation
+// behaviour, and witnesses are bit-identical across stores and worker
+// counts.
 
 import (
 	"fmt"
@@ -56,7 +51,8 @@ type Store int
 
 // Store modes.
 const (
-	// StoreInMemory retains the full node arena (default).
+	// StoreInMemory retains every level's generation records in memory
+	// (default); witnesses read straight off them.
 	StoreInMemory Store = iota
 	// StoreFrontierOnly retains only the compact visited-key set and the
 	// current/next BFS levels; witnesses reconstruct by bounded re-search.
@@ -96,23 +92,23 @@ func ParseStore(s string) (Store, error) {
 }
 
 // ParsePacked parses the CLI spelling of the packed-engine knob: "" or
-// "off" keeps the pointer engine, "on" (or "auto") selects the packed
-// struct-of-arrays engine where the algorithm/system pair supports it,
-// falling back silently otherwise (see Options.Packed).
+// "off" keeps the pointer engine, "on" selects the packed struct-of-arrays
+// engine where the algorithm/system pair supports it, falling back silently
+// otherwise (see Options.Packed).
 func ParsePacked(s string) (bool, error) {
 	switch s {
 	case "", "off":
 		return false, nil
-	case "on", "auto":
+	case "on":
 		return true, nil
 	default:
-		return false, fmt.Errorf("explore: unknown packed mode %q (want off, on, or auto)", s)
+		return false, fmt.Errorf("explore: unknown packed mode %q (want off or on)", s)
 	}
 }
 
-// levelRec is one generation record of a bounded search: frontier entry
-// number pos of level l+1 was produced by applying act to entry parent of
-// level l. Level logs are sequences of these, in frontier order.
+// levelRec is one generation record of a breadth-first search: frontier
+// entry number pos of level l+1 was produced by applying act to entry
+// parent of level l. Level logs are sequences of these, in frontier order.
 type levelRec struct {
 	parent int32
 	act    action
@@ -152,8 +148,8 @@ func recFromBits(b uint64) levelRec {
 	}
 }
 
-// levelSink receives the generation records of a bounded search, one begun
-// level at a time. Level l's records generate frontier level l+1.
+// levelSink receives the generation records of a breadth-first search, one
+// begun level at a time. Level l's records generate frontier level l+1.
 type levelSink interface {
 	// beginLevel opens the next level's record sequence.
 	beginLevel() error
@@ -193,8 +189,8 @@ func (d *discardSink) retained() bool { return false }
 func (d *discardSink) discard()       {}
 
 // memSink retains records in memory, 8 bytes each in packed form: the
-// recording sink of witness re-searches, of checkpoint-enabled
-// frontier-only searches, and of restored checkpoints.
+// StoreInMemory sink, and the recording sink of witness re-searches, of
+// checkpoint-enabled frontier-only searches, and of restored checkpoints.
 type memSink struct {
 	recs [][]uint64
 }
@@ -324,10 +320,10 @@ func leUint64(b []byte) uint64 {
 	return v
 }
 
-// boundedState is the complete state of a (possibly paused) bounded
-// breadth-first search. Everything except the live configurations of
-// frontier/next is either in the visited set or regenerable from the sink's
-// level logs, which is exactly what makes the search checkpointable.
+// boundedState is the complete state of a (possibly paused) breadth-first
+// search. Everything except the live configurations of frontier/next is
+// either in the visited set or regenerable from the sink's level logs,
+// which is exactly what makes the search checkpointable.
 type boundedState struct {
 	vis      *visitedSet
 	sink     levelSink
@@ -370,23 +366,23 @@ type pausedSearch struct {
 	visited int
 }
 
-// newSink picks the level sink for a fresh bounded search: disk for
-// StoreSpill, memory when a checkpoint directory demands retention,
-// counting-only otherwise.
+// newSink picks the level sink for a fresh search: disk for StoreSpill,
+// memory for StoreInMemory and when a checkpoint directory demands
+// retention, counting-only otherwise.
 func (e *Explorer) newSink() (levelSink, error) {
-	if e.opts.Store == StoreSpill {
+	switch {
+	case e.opts.Store == StoreSpill:
 		return newDiskSink(e.opts.SpillDir)
-	}
-	if e.opts.Checkpoint != "" {
+	case e.opts.Store == StoreInMemory || e.opts.Checkpoint != "":
 		return &memSink{}, nil
 	}
 	return &discardSink{}, nil
 }
 
-// boundedStart builds the starting state of a bounded search: a resumed one
-// when a matching paused search is pending (in-session from a previous
-// truncation, or auto-restored from the checkpoint directory), a fresh root
-// state otherwise. fresh reports which, so the caller knows whether the
+// boundedStart builds the starting state of a breadth-first search: a
+// resumed one when a matching paused search is pending (in-session from a
+// previous truncation, or auto-restored from the checkpoint directory), a
+// fresh root state otherwise. fresh reports which, so the caller knows whether the
 // root configuration still needs its goal check.
 //
 // The automatic resume path treats checkpoints as purely an optimization: a
@@ -434,7 +430,7 @@ func (e *Explorer) boundedStart(kind string) (st *boundedState, fresh bool, err 
 	return e.boundedFresh()
 }
 
-// boundedFresh builds the root state of a bounded search.
+// boundedFresh builds the root state of a breadth-first search.
 func (e *Explorer) boundedFresh() (*boundedState, bool, error) {
 	start, err := e.initial()
 	if err != nil {
@@ -516,14 +512,16 @@ func (e *Explorer) regenerate(p *pausedSearch) (*boundedState, error) {
 	return st, nil
 }
 
-// searchBounded is the bounded-store twin of searchArena's BFS branch:
-// identical verdicts, stats, truncation behaviour, and witnesses at every
-// worker count, with only the visited-key set and two frontier levels
-// retained.
-func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, error) {
+// searchBounded runs a breadth-first witness search on the level-synchronous
+// driver: identical verdicts, stats, truncation behaviour, and witnesses at
+// every store and worker count, with only the visited-key set, the level
+// sink, and two frontier levels retained. It also returns the search's
+// final state, which the differential tests inspect to prove visited-set
+// and level-structure equality across stores, worker counts, and engines.
+func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, *boundedState, error) {
 	st, fresh, err := e.boundedStart(kind)
 	if err != nil {
-		return nil, false, err
+		return nil, false, nil, err
 	}
 	st.kind = kind
 	if fresh {
@@ -531,22 +529,23 @@ func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, er
 			st.sink.discard()
 			run, err := e.replayActions(nil)
 			if err != nil {
-				return nil, false, err
+				return nil, false, nil, err
 			}
-			return &Witness{Kind: kind, Run: run, Detail: detail, Stats: st.stats}, true, nil
+			return &Witness{Kind: kind, Run: run, Detail: detail, Stats: st.stats}, true, st, nil
 		}
 	}
 	hit, err := e.runBounded(st, goal)
 	if err != nil {
-		return nil, false, err
+		return nil, false, nil, err
 	}
 	if hit == nil {
 		if st.stats.Truncated {
-			return e.pauseBounded(st, kind)
+			w, err := e.pauseBounded(st, kind)
+			return w, false, st, err
 		}
 		st.sink.discard()
 		e.clearCheckpoint(kind)
-		return &Witness{Kind: kind, Stats: st.stats}, false, nil
+		return &Witness{Kind: kind, Stats: st.stats}, false, st, nil
 	}
 	if !st.sink.retained() {
 		// Bounded re-search: the traversal is deterministic, so re-running
@@ -555,32 +554,32 @@ func (e *Explorer) searchBounded(goal goalFunc, kind string) (*Witness, bool, er
 		stats := st.stats
 		st2, _, err := e.boundedFresh()
 		if err != nil {
-			return nil, false, err
+			return nil, false, nil, err
 		}
 		st2.sink = &memSink{}
 		st2.quiet = true
 		hit2, err := e.runBounded(st2, goal)
 		if err != nil {
-			return nil, false, err
+			return nil, false, nil, err
 		}
 		if hit2 == nil && st2.stats.Cancelled {
 			// The witness re-search was cancelled before re-reaching the hit.
 			// The original sink was discarded, so the witness is lost; report
 			// the cancellation rather than a spurious divergence.
-			return nil, false, fmt.Errorf("explore: search cancelled during witness re-search: %w", e.opts.Context.Err())
+			return nil, false, nil, fmt.Errorf("explore: search cancelled during witness re-search: %w", e.opts.Context.Err())
 		}
 		if hit2 == nil || *hit2 != *hit || st2.stats != stats {
-			return nil, false, fmt.Errorf("explore: witness re-search diverged (hit %+v vs %+v); the search is not deterministic", hit2, hit)
+			return nil, false, nil, fmt.Errorf("explore: witness re-search diverged (hit %+v vs %+v); the search is not deterministic", hit2, hit)
 		}
 		st = st2
 	}
 	w, err := e.boundedWitness(st.sink, hit, kind, st.stats)
 	st.sink.discard()
 	if err != nil {
-		return nil, false, err
+		return nil, false, nil, err
 	}
 	e.clearCheckpoint(kind)
-	return w, true, nil
+	return w, true, st, nil
 }
 
 // snapshotLevel persists the search's paused state at a sealed level
@@ -622,10 +621,11 @@ func (e *Explorer) snapshotLevel(st *boundedState) {
 	}
 }
 
-// runBounded drives the bounded BFS from st until a goal hit, exhaustion,
-// or truncation (hit == nil, st.stats distinguishes the latter two). The
-// serial path mirrors the sequential arena search parent by parent; more
-// than one worker runs the chunked parallel frontier on expandLevel.
+// runBounded drives the BFS from st until a goal hit, exhaustion, or
+// truncation (hit == nil, st.stats distinguishes the latter two). One worker
+// runs the serial loop below, which inserts each successor into the visited
+// set as it is generated; more than one runs the chunked parallel frontier
+// on expandLevel.
 func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, error) {
 	if e.searchWorkers() > 1 {
 		return e.runBoundedParallel(st, goal)
@@ -691,9 +691,9 @@ func (e *Explorer) runBounded(st *boundedState, goal goalFunc) (*boundedHit, err
 }
 
 // runBoundedParallel is runBounded on the level-synchronous parallel
-// frontier: expansion chunks run on expandLevel exactly as in
-// searchParallel, and the sequential merge appends generation records
-// instead of arena nodes. Chunk boundaries (a resumed search starts
+// frontier: expansion chunks run on expandLevel, and the sequential merge
+// appends the winners' generation records in the serial loop's order. Chunk
+// boundaries (a resumed search starts
 // mid-level) cannot change results: candidate order keys are absolute
 // frontier positions, and earlier chunks' children are sealed in the
 // visited set before later chunks expand.
@@ -765,14 +765,17 @@ func (e *Explorer) runBoundedParallel(st *boundedState, goal goalFunc) (*bounded
 	return nil, nil
 }
 
-// pauseBounded finalizes a truncated bounded search: with a retained sink
-// the paused state stays pending on the explorer (resumable in-session and
-// snapshottable), and with a checkpoint directory configured it is
-// persisted immediately; the frontier configurations — regenerable from the
-// logs — are recycled either way.
-func (e *Explorer) pauseBounded(st *boundedState, kind string) (*Witness, bool, error) {
+// pauseBounded finalizes a truncated search: with a bounded store's
+// retained sink the paused state stays pending on the explorer (resumable
+// in-session and snapshottable), and with a checkpoint directory configured
+// it is persisted immediately; a truncated in-memory search drops its
+// records and stages nothing. The frontier configurations — regenerable
+// from the logs — are left to the garbage collector rather than pooled: a
+// truncated search stops at its widest frontier, and pooling it would keep
+// that memory alive through the explorer's next search.
+func (e *Explorer) pauseBounded(st *boundedState, kind string) (*Witness, error) {
 	w := &Witness{Kind: kind, Stats: st.stats}
-	if st.sink.retained() {
+	if st.sink.retained() && e.opts.Store != StoreInMemory {
 		p := &pausedSearch{
 			kind:    kind,
 			digest:  e.searchDigest(kind),
@@ -784,7 +787,7 @@ func (e *Explorer) pauseBounded(st *boundedState, kind string) (*Witness, bool, 
 		if e.opts.Checkpoint != "" {
 			path := e.checkpointFile(kind)
 			if err := writeCheckpoint(path, p); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			w.Checkpoint = path
 		}
@@ -798,13 +801,7 @@ func (e *Explorer) pauseBounded(st *boundedState, kind string) (*Witness, bool, 
 	} else {
 		st.sink.discard()
 	}
-	for i := st.pos; i < len(st.frontier); i++ {
-		e.sc.release(st.frontier[i].cfg)
-	}
-	for i := range st.next {
-		e.sc.release(st.next[i].cfg)
-	}
-	return w, false, nil
+	return w, nil
 }
 
 // boundedWitness reconstructs the action path to a hit from the retained
@@ -826,93 +823,4 @@ func (e *Explorer) boundedWitness(sink levelSink, hit *boundedHit, kind string, 
 		return nil, err
 	}
 	return &Witness{Kind: kind, Run: run, Detail: hit.detail, Stats: stats}, nil
-}
-
-// searchBoundedDFS is the bounded-store twin of the sequential DFS branch:
-// the same traversal with revisit detection on the compact visited set and
-// the parent chains replaced by immutable cons-list paths hanging off the
-// stack, so memory is bounded by the visited keys plus the live stack —
-// abandoned branches are garbage-collected. Checkpointing is a BFS feature:
-// a DFS pause would have to persist the entire stack of full
-// configurations, which is precisely the footprint the bounded store
-// exists to avoid.
-func (e *Explorer) searchBoundedDFS(goal goalFunc, kind string) (*Witness, bool, error) {
-	if e.opts.Checkpoint != "" {
-		return nil, false, fmt.Errorf("explore: checkpointing requires the breadth-first strategy")
-	}
-	start, err := e.initial()
-	if err != nil {
-		return nil, false, err
-	}
-	stats := Stats{}
-	if detail, ok := goal(&e.sc, start); ok {
-		run, err := e.replayActions(nil)
-		if err != nil {
-			return nil, false, err
-		}
-		return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, nil
-	}
-	type pathNode struct {
-		parent *pathNode
-		act    action
-	}
-	type dent struct {
-		cfg     *sim.Configuration
-		path    *pathNode
-		crashes int32
-	}
-	vis := newVisitedSet()
-	vis.Insert(e.key(start, 0))
-	stack := []dent{{cfg: start}}
-	for len(stack) > 0 {
-		if stats.Visited >= e.opts.MaxConfigs {
-			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, nil
-		}
-		if stats.Visited%cancelInterval == 0 && e.cancelled() {
-			// DFS has no pause path; a cancelled DFS just stops (truncated,
-			// not resumable).
-			stats.Truncated = true
-			stats.Cancelled = true
-			return &Witness{Kind: kind, Stats: stats}, false, nil
-		}
-		if stats.Visited > 0 && stats.Visited%progressInterval == 0 {
-			e.progress(stats.Visited, -1)
-		}
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		stats.Visited++
-		for _, act := range e.actions(cur.cfg, int(cur.crashes)) {
-			next, ok := e.apply(cur.cfg, act)
-			if !ok {
-				continue
-			}
-			crashes := cur.crashes
-			if act.Crash {
-				crashes++
-			}
-			if !vis.Insert(e.key(next, int(crashes))) {
-				e.release(next)
-				continue
-			}
-			node := &pathNode{parent: cur.path, act: act}
-			if detail, ok := goal(&e.sc, next); ok {
-				var acts []action
-				for n := node; n != nil; n = n.parent {
-					acts = append(acts, n.act)
-				}
-				for i, j := 0, len(acts)-1; i < j; i, j = i+1, j-1 {
-					acts[i], acts[j] = acts[j], acts[i]
-				}
-				run, err := e.replayActions(acts)
-				if err != nil {
-					return nil, false, err
-				}
-				return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, nil
-			}
-			stack = append(stack, dent{cfg: next, path: node, crashes: crashes})
-		}
-		e.release(cur.cfg)
-	}
-	return &Witness{Kind: kind, Stats: stats}, false, nil
 }

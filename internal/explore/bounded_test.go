@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"reflect"
 	"testing"
 
 	"kset/internal/sim"
@@ -22,11 +23,11 @@ func (d diffInstance) explorerStore(store Store, workers int, symmetry, por bool
 }
 
 // TestBoundedStoreVerdictParity is the acceptance gate of the bounded
-// engine: for every instance of the extended differential suite, both
+// stores: for every instance of the extended differential suite, both
 // witness goals, both bounded stores, workers 1/2/4, and the reduction
 // stack off and on, the bounded search must return bit-identical results to
-// the sequential in-memory engine — found flag, stats, witness detail, and
-// the scheduled witness run — and found witnesses must independently
+// the serial in-memory store — found flag, stats, witness detail, and the
+// scheduled witness run — and found witnesses must independently
 // revalidate.
 func TestBoundedStoreVerdictParity(t *testing.T) {
 	goals := []struct {
@@ -48,7 +49,7 @@ func TestBoundedStoreVerdictParity(t *testing.T) {
 						Live: d.live, MaxCrashes: d.crashes, Workers: 1,
 						Symmetry: reduced, POR: reduced,
 					})
-					refW, refFound, _, err := ref.searchArena(g.goal, g.name)
+					refW, refFound, _, err := ref.searchBounded(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -94,6 +95,51 @@ func TestBoundedStoreVerdictParity(t *testing.T) {
 	}
 }
 
+// TestInMemoryLevelProgress pins the in-memory store's progress stream: a
+// serial in-memory breadth-first search reports its sealed levels as 1..d,
+// with cumulative visited counts equal to the frontier-only store's profile.
+func TestInMemoryLevelProgress(t *testing.T) {
+	goals := []struct {
+		name string
+		goal goalFunc
+	}{
+		{"disagreement", disagreementGoal},
+		{"blocking", blockingGoal},
+	}
+	reported := 0
+	for _, d := range diffInstances() {
+		for _, g := range goals {
+			profile := func(store Store) [][2]int {
+				var prog [][2]int
+				e := New(sim.Restrict(d.alg, d.live), d.inputs, Options{
+					Live:       d.live,
+					MaxCrashes: d.crashes,
+					Workers:    1,
+					Store:      store,
+					OnProgress: func(visited, level int) { prog = append(prog, [2]int{visited, level}) },
+				})
+				if _, _, err := e.search(g.goal, g.name); err != nil {
+					t.Fatal(err)
+				}
+				return prog
+			}
+			got, want := profile(StoreInMemory), profile(StoreFrontierOnly)
+			for i, p := range got {
+				if p[1] != i+1 {
+					t.Fatalf("%s/%s: progress report %d has level %d, want %d", d.name, g.name, i, p[1], i+1)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: in-memory profile %v, frontier-only %v", d.name, g.name, got, want)
+			}
+			reported += len(got)
+		}
+	}
+	if reported == 0 {
+		t.Fatal("no search reported a sealed level")
+	}
+}
+
 // TestBoundedTruncationParity sweeps MaxConfigs budgets — including values
 // that cut a BFS level mid-way — and asserts the bounded stores report
 // exactly the in-memory engine's found flag, stats, and truncation at
@@ -132,8 +178,9 @@ func TestBoundedTruncationParity(t *testing.T) {
 	}
 }
 
-// TestBoundedDFSParity asserts the cons-list depth-first twin matches the
-// arena DFS exactly, including under the reduction stack.
+// TestBoundedDFSParity asserts that the depth-first search is independent of
+// the store, including under the reduction stack: in-memory and
+// frontier-only DFS agree exactly.
 func TestBoundedDFSParity(t *testing.T) {
 	for _, reduced := range []bool{false, true} {
 		for _, d := range porInstances() {

@@ -131,7 +131,7 @@ func TestCancelBeforeStartResumesToWitness(t *testing.T) {
 }
 
 // TestCancelWithoutCheckpointJustStops pins the non-resumable paths: a
-// cancelled search without Options.Checkpoint — the in-memory arena engine,
+// cancelled search without Options.Checkpoint — the in-memory BFS and DFS,
 // the bounded DFS, and a bounded BFS without a checkpoint directory — stops
 // with Cancelled and Truncated set and no error, and reports no checkpoint.
 func TestCancelWithoutCheckpointJustStops(t *testing.T) {
@@ -142,8 +142,8 @@ func TestCancelWithoutCheckpointJustStops(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"arena-bfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Context: ctx}},
-		{"arena-dfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Strategy: "dfs", Context: ctx}},
+		{"inmem-bfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Context: ctx}},
+		{"inmem-dfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Strategy: "dfs", Context: ctx}},
 		{"bounded-dfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Strategy: "dfs", Store: StoreFrontierOnly, Context: ctx}},
 		{"bounded-bfs", Options{Live: d.live, MaxCrashes: d.crashes, MaxConfigs: 1000000, Store: StoreFrontierOnly, Context: ctx}},
 	}

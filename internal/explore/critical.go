@@ -92,7 +92,7 @@ func (e *Explorer) AnalyzeCriticalSteps() (*CriticalAnalysis, error) {
 // valenceFrom computes the reachable decision values from an arbitrary
 // configuration (with crashes already spent), stopping early once stopAt
 // distinct values are found (0 = collect every value). It shares the
-// arena-backed, fingerprint-keyed breadth-first expansion of search; the
+// fingerprint-keyed breadth-first expansion of search; the
 // caller retains ownership of start, every other visited configuration is
 // recycled through the explorer's free list.
 func (e *Explorer) valenceFrom(start *sim.Configuration, crashesSpent, stopAt int) ([]sim.Value, Stats, error) {
@@ -107,7 +107,7 @@ func (e *Explorer) valenceFrom(start *sim.Configuration, crashesSpent, stopAt in
 	stats := Stats{}
 	// Valence only censuses decision values — no witness path is ever
 	// reconstructed — so revisit detection keeps the compact visited set
-	// alone (see visited.go); the node arena would be dead weight here.
+	// alone (see visited.go); level records would be dead weight here.
 	vis := newVisitedSet()
 	vis.Insert(e.key(start, crashesSpent))
 	queue := []qent{{cfg: start, crashes: int32(crashesSpent)}}

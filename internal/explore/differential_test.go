@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -127,13 +128,13 @@ func TestFingerprintDedupVisitsLegacySet(t *testing.T) {
 
 // TestFingerprintSearchFindsLegacyWitnesses asserts that the production
 // searches find a witness exactly when the legacy string-keyed enumeration
-// contains one, and that found witnesses replay to genuine violations.
+// contains one, after visiting exactly as many configurations, that the
+// witness is the legacy search's first hit, and that found witnesses replay
+// to genuine violations.
 func TestFingerprintSearchFindsLegacyWitnesses(t *testing.T) {
 	for _, d := range diffInstances() {
 		t.Run(d.name, func(t *testing.T) {
-			wantDisagreement := legacyGoalReachable(t, d, func(cfg *sim.Configuration) bool {
-				return cfg.Disagreement()
-			})
+			want := legacySearch(t, d, disagreementGoal)
 
 			w, found, err := d.explorer().FindDisagreement()
 			if err != nil {
@@ -142,9 +143,7 @@ func TestFingerprintSearchFindsLegacyWitnesses(t *testing.T) {
 			if w.Stats.Truncated {
 				t.Fatalf("instance not exhaustive (visited %d)", w.Stats.Visited)
 			}
-			if found != wantDisagreement {
-				t.Fatalf("FindDisagreement found=%t, legacy exhaustive search says %t", found, wantDisagreement)
-			}
+			want.check(t, d, w, found)
 			if found {
 				testutil.RevalidateWitness(t, w.Kind, w.Run)
 			}
@@ -166,10 +165,11 @@ func runSignature(r *sim.Run) string {
 
 // TestParallelSearchVisitsSequentialSet asserts, per instance and per goal,
 // that the level-synchronous parallel frontier search produces results
-// bit-identical to the sequential search — same found flag, witness detail,
+// bit-identical to the serial search — same found flag, witness detail,
 // scheduled witness run, and stats — and, on exhaustive searches, that it
-// visits exactly the sequential search's configuration set (equal arena
-// visited-key sets and node counts).
+// visits exactly the serial search's configuration set (equal visited-key
+// sets and per-level record counts). The serial search itself is checked
+// against the engine-independent legacy string-keyed BFS.
 func TestParallelSearchVisitsSequentialSet(t *testing.T) {
 	goals := []struct {
 		name string
@@ -181,12 +181,13 @@ func TestParallelSearchVisitsSequentialSet(t *testing.T) {
 	for _, d := range diffInstances() {
 		for _, g := range goals {
 			t.Run(d.name+"/"+g.name, func(t *testing.T) {
-				seqW, seqFound, seqAr, err := d.explorerWorkers(1).searchArena(g.goal, g.name)
+				seqW, seqFound, seqSt, err := d.explorerWorkers(1).searchBounded(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
+				legacySearch(t, d, g.goal).check(t, d, seqW, seqFound)
 				for _, workers := range []int{2, 4} {
-					parW, parFound, parAr, err := d.explorerWorkers(workers).searchArena(g.goal, g.name)
+					parW, parFound, parSt, err := d.explorerWorkers(workers).searchBounded(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -206,43 +207,78 @@ func TestParallelSearchVisitsSequentialSet(t *testing.T) {
 						continue
 					}
 					// Exhaustive search: the visited sets must be identical.
-					if parAr.visited.Len() != seqAr.visited.Len() || len(parAr.nodes) != len(seqAr.nodes) {
-						t.Fatalf("workers=%d: visited %d nodes %d, sequential visited %d nodes %d",
-							workers, parAr.visited.Len(), len(parAr.nodes), seqAr.visited.Len(), len(seqAr.nodes))
-					}
-					seqAr.visited.Range(func(key uint64) bool {
-						if !parAr.visited.Contains(key) {
-							t.Fatalf("workers=%d: parallel search missed visited key %#x", workers, key)
-						}
-						return true
-					})
+					assertSameVisited(t, fmt.Sprintf("workers=%d", workers), parSt, seqSt)
 				}
 			})
 		}
 	}
 }
 
-// legacyGoalReachable reports whether some configuration reachable under
-// string-keyed dedup satisfies goal.
-func legacyGoalReachable(t *testing.T, d diffInstance, goal func(*sim.Configuration) bool) bool {
+// levelCounts returns the number of generation records each level of a
+// finished breadth-first search produced: its visited set's level profile.
+func levelCounts(st *boundedState) []int {
+	n := make([]int, st.sink.levels())
+	for l := range n {
+		n[l] = st.sink.levelLen(l)
+	}
+	return n
+}
+
+// assertSameVisited fails unless two exhaustive breadth-first searches
+// sealed the same visited-key set with the same per-level record counts.
+func assertSameVisited(t *testing.T, label string, got, want *boundedState) {
+	t.Helper()
+	if got.vis.Len() != want.vis.Len() || !reflect.DeepEqual(levelCounts(got), levelCounts(want)) {
+		t.Fatalf("%s: visited %d levels %v, reference visited %d levels %v",
+			label, got.vis.Len(), levelCounts(got), want.vis.Len(), levelCounts(want))
+	}
+	want.vis.Range(func(key uint64) bool {
+		if !got.vis.Contains(key) {
+			t.Fatalf("%s: missed visited key %#x", label, key)
+		}
+		return true
+	})
+}
+
+// legacyResult is the outcome of the legacy string-keyed BFS: whether a
+// goal configuration is reachable, the sequential Stats.Visited at the first
+// hit (or at exhaustion), and the action path to the hit.
+type legacyResult struct {
+	found   bool
+	visited int
+	acts    []action
+}
+
+// legacySearch runs the seed implementation's string-keyed BFS on d until
+// the first configuration satisfying goal: an engine-independent reference
+// that shares only action enumeration and application with the production
+// driver, not its visited set, level records, or witness path.
+func legacySearch(t *testing.T, d diffInstance, goal goalFunc) legacyResult {
 	t.Helper()
 	e := d.explorer()
 	start, err := e.initial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if goal(start) {
-		return true
+	if _, ok := goal(&e.sc, start); ok {
+		return legacyResult{found: true}
+	}
+	type pathNode struct {
+		parent *pathNode
+		act    action
 	}
 	type qent struct {
 		cfg     *sim.Configuration
 		crashes int
+		path    *pathNode
 	}
 	visited := map[string]bool{legacyKey(start, 0): true}
 	queue := []qent{{cfg: start}}
+	dequeued := 0
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
+		dequeued++
 		for _, act := range e.actions(cur.cfg, cur.crashes) {
 			next, ok := e.apply(cur.cfg, act)
 			if !ok {
@@ -258,11 +294,37 @@ func legacyGoalReachable(t *testing.T, d diffInstance, goal func(*sim.Configurat
 				continue
 			}
 			visited[key] = true
-			if goal(next) {
-				return true
+			path := &pathNode{parent: cur.path, act: act}
+			if _, ok := goal(&e.sc, next); ok {
+				var acts []action
+				for n := path; n != nil; n = n.parent {
+					acts = append([]action{n.act}, acts...)
+				}
+				return legacyResult{found: true, visited: dequeued, acts: acts}
 			}
-			queue = append(queue, qent{cfg: next, crashes: crashes})
+			queue = append(queue, qent{cfg: next, crashes: crashes, path: path})
 		}
 	}
-	return false
+	return legacyResult{visited: dequeued}
+}
+
+// check fails unless a production breadth-first search of d agrees with the
+// legacy result: found flag, visited count, and — for found witnesses — the
+// scheduled run of the legacy search's first hit.
+func (r legacyResult) check(t *testing.T, d diffInstance, w *Witness, found bool) {
+	t.Helper()
+	if found != r.found || w.Stats.Visited != r.visited {
+		t.Fatalf("found=%t visited=%d, legacy string-keyed BFS found=%t visited=%d",
+			found, w.Stats.Visited, r.found, r.visited)
+	}
+	if !found {
+		return
+	}
+	run, err := d.explorer().replayActions(r.acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := runSignature(w.Run), runSignature(run); got != want {
+		t.Fatalf("witness diverged from the legacy first hit:\n got %s\nwant %s", got, want)
+	}
 }

@@ -21,12 +21,13 @@
 // The search hot path is engineered around four ideas. Revisit detection
 // uses the simulator's incremental 64-bit configuration fingerprint
 // (sim.Configuration.Fingerprint) instead of materializing the O(n·|buffers|)
-// string Key per candidate; parent chains live in a flat node arena indexed
-// by int32 (see arena.go); the per-action configuration copies are recycled
+// string Key per candidate; breadth-first searches keep no parent chains,
+// only 8-byte per-level generation records from which a witness path is read
+// back (see bounded.go); the per-action configuration copies are recycled
 // through per-context free lists (sim.ClonePool), so a steady-state search
 // allocates almost nothing per visited configuration; and breadth-first
 // searches expand each frontier level across Options.Workers goroutines
-// (see parallel.go) with results bit-identical to the sequential order. An
+// (see parallel.go) with results bit-identical to the serial order. An
 // Explorer is NOT safe for concurrent use — run independent searches on
 // independent Explorers (the experiment sweeps in the root package do
 // exactly that, one Explorer per sweep cell).
@@ -158,16 +159,18 @@ type Options struct {
 	// it relies only on the simulator's crash semantics — stays active, so
 	// visited counts may still shrink. Default off.
 	POR bool
-	// Store selects the memory regime of the search (see bounded.go):
-	// StoreInMemory (the default) keeps the full node arena for parent-chain
-	// witness replay; StoreFrontierOnly retains only the compact
-	// fingerprint-keyed visited set plus the current and next BFS levels,
-	// reconstructing witnesses by a bounded, deterministic re-search;
-	// StoreSpill additionally streams each sealed level's generation records
-	// to a disk file, from which witnesses are reconstructed by random-access
-	// re-read and checkpoints are written without re-searching. Verdicts,
-	// stats, and witnesses are bit-identical across all three stores at every
-	// worker count; only the bytes retained per visited state differ.
+	// Store selects where the breadth-first driver of bounded.go keeps each
+	// level's generation records (8 bytes per visited configuration), on top
+	// of the compact fingerprint-keyed visited set and the current and next
+	// BFS levels that every store retains: StoreInMemory (the default) keeps
+	// them in memory and reads witnesses straight off them;
+	// StoreFrontierOnly discards them, reconstructing witnesses by a
+	// bounded, deterministic re-search; StoreSpill streams them to a disk
+	// file, from which witnesses are reconstructed by random-access re-read
+	// and checkpoints are written without re-searching. Verdicts, stats,
+	// witnesses, and progress reports are bit-identical across all three
+	// stores at every worker count; only the bytes retained per visited
+	// state differ.
 	Store Store
 	// SpillDir is the directory for StoreSpill's level-log file; empty means
 	// the system temporary directory. The file is unlinked at creation where
@@ -205,11 +208,12 @@ type Options struct {
 	Context context.Context
 	// OnProgress, when non-nil, receives (visited, level) updates while a
 	// witness search runs: at every sealed BFS level boundary for
-	// breadth-first searches, and every progressInterval visited
-	// configurations with level -1 for depth-first searches (whose traversal
-	// has no level structure). Calls are made from the goroutine driving the
-	// search — never concurrently — and must return quickly: the search
-	// blocks while the callback runs.
+	// breadth-first searches (levels 1, 2, ... with cumulative visited
+	// counts, the same at every store and worker count), and every
+	// progressInterval visited configurations with level -1 for depth-first
+	// searches (whose traversal has no level structure). Calls are made
+	// from the goroutine driving the search — never concurrently — and must
+	// return quickly: the search blocks while the callback runs.
 	OnProgress func(visited, level int)
 	// OnSnapshotError, when non-nil, is called when a best-effort
 	// level-boundary checkpoint snapshot fails (disk full, permissions):
@@ -234,14 +238,14 @@ type Options struct {
 	// off.
 	Packed bool
 	// Workers caps the number of goroutines expanding the BFS frontier.
-	// Zero means GOMAXPROCS; 1 runs the exact sequential legacy search. Any
-	// value above 1 enables the level-synchronous parallel frontier of
-	// parallel.go, whose results — visited set, arena layout, witness, and
-	// stats — are bit-identical to the sequential search's (see the
-	// differential tests). DFS searches are always sequential: depth-first
-	// order is inherently serial, and the engine relies on its action
-	// ordering to reach complete executions quickly. Oracles queried from a
-	// parallel search must be pure functions of (process, time,
+	// Zero means GOMAXPROCS; 1 runs the breadth-first driver's serial loop.
+	// Any value above 1 enables the level-synchronous parallel frontier of
+	// parallel.go, whose results — visited set, per-level generation
+	// records, witness, and stats — are bit-identical to the serial loop's
+	// (see the differential tests). DFS searches are always sequential:
+	// depth-first order is inherently serial, and the engine relies on its
+	// action ordering to reach complete executions quickly. Oracles queried
+	// from a parallel search must be pure functions of (process, time,
 	// configuration) and safe for concurrent use; the fd package's
 	// pattern-based oracles are, the stateful ReplayOracle is not.
 	Workers int
@@ -276,8 +280,8 @@ type Explorer struct {
 	// packed reports that the packed engine is active: Options.Packed was
 	// set and the algorithm/system pair supports it (sim.PackerFor).
 	packed bool
-	// sc is the explorer's own search context, used by sequential searches
-	// and by the critical-step driver.
+	// sc is the explorer's own search context, used by serial searches and
+	// by the critical-step driver.
 	sc searchCtx
 	// pending is the paused state of the most recent truncated bounded
 	// search with a retained level log, staged for Snapshot and for resuming
@@ -287,7 +291,7 @@ type Explorer struct {
 
 // searchCtx bundles the mutable per-goroutine scratch state of a search:
 // the configuration free list, the delivery-id and action-enumeration
-// buffers, and the quiescence probe clone. The sequential search uses the
+// buffers, and the quiescence probe clone. The serial search uses the
 // explorer's own context; the parallel frontier search gives every worker
 // its own, so the clone/release hot path never contends across workers.
 type searchCtx struct {
@@ -566,7 +570,7 @@ func (sc *searchCtx) enumerate(cfg *sim.Configuration, crashes int, plan porPlan
 }
 
 // Explorer-level delegates to the explorer's own search context, used by the
-// sequential search paths and the in-package tests.
+// serial search paths and the in-package tests.
 
 func (e *Explorer) release(c *sim.Configuration) { e.sc.release(c) }
 

@@ -251,17 +251,18 @@ func TestPackedSearchMatrix(t *testing.T) {
 	}
 }
 
-// TestPackedArenaVisitedSet asserts that on exhaustive arena searches the
-// packed engine visits exactly the pointer engine's configuration set —
-// equal visited-key sets, node counts, and truncation behaviour.
+// TestPackedArenaVisitedSet asserts that on exhaustive in-memory searches
+// the packed engine visits exactly the pointer engine's configuration set —
+// equal visited-key sets, per-level record counts, and truncation
+// behaviour.
 func TestPackedArenaVisitedSet(t *testing.T) {
 	for _, c := range packedDiffCells() {
 		t.Run(c.name(), func(t *testing.T) {
-			_, ptrFound, ptrAr, err := c.explorer(false, 1, StoreInMemory).searchArena(disagreementGoal, "disagreement")
+			_, ptrFound, ptrSt, err := c.explorer(false, 1, StoreInMemory).searchBounded(disagreementGoal, "disagreement")
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, pckFound, pckAr, err := c.explorer(true, 1, StoreInMemory).searchArena(disagreementGoal, "disagreement")
+			_, pckFound, pckSt, err := c.explorer(true, 1, StoreInMemory).searchBounded(disagreementGoal, "disagreement")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,18 +270,9 @@ func TestPackedArenaVisitedSet(t *testing.T) {
 				t.Fatalf("packed found=%t, pointer found=%t", pckFound, ptrFound)
 			}
 			if ptrFound {
-				return // arenas of found searches stop early; lockstep covers them
+				return // found searches stop early; lockstep covers them
 			}
-			if pckAr.visited.Len() != ptrAr.visited.Len() || len(pckAr.nodes) != len(ptrAr.nodes) {
-				t.Fatalf("packed visited %d nodes %d, pointer visited %d nodes %d",
-					pckAr.visited.Len(), len(pckAr.nodes), ptrAr.visited.Len(), len(ptrAr.nodes))
-			}
-			ptrAr.visited.Range(func(key uint64) bool {
-				if !pckAr.visited.Contains(key) {
-					t.Fatalf("packed search missed visited key %#x", key)
-				}
-				return true
-			})
+			assertSameVisited(t, "packed", pckSt, ptrSt)
 		})
 	}
 }

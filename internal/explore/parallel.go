@@ -1,8 +1,9 @@
 package explore
 
-// This file implements the level-synchronous parallel frontier search: the
-// parallel twin of the sequential BFS in search.go and critical.go, active
-// when Options.Workers resolves to more than one.
+// This file implements the level-synchronous parallel frontier: the
+// expansion half of the breadth-first driver's parallel path
+// (runBoundedParallel in bounded.go) and of the parallel valence analysis,
+// active when Options.Workers resolves to more than one.
 //
 // Each BFS level is processed in two phases.
 //
@@ -11,30 +12,29 @@ package explore
 //     list, delivery scratch, action buffer, quiescence probe — so the hot
 //     clone/step/hash cycle runs without shared mutable state. Candidates
 //     whose fingerprint key was sealed in an earlier level are dropped
-//     against the arena's visited map, which is immutable while workers run
-//     and therefore read lock-free. Surviving candidates enter a 64-way
-//     sharded claim table keyed by fingerprint: per-shard mutexes arbitrate
+//     against the visited set, which is immutable while workers run and
+//     therefore read lock-free. Surviving candidates enter a 64-way sharded
+//     claim table keyed by fingerprint: per-shard mutexes arbitrate
 //     concurrent claims, and a claim is replaced when a candidate with a
 //     smaller deterministic order (parent position, action index) arrives,
-//     so each key's surviving candidate is the one the sequential search
-//     would have kept — independent of goroutine interleaving. Losers are
-//     recycled into the claiming worker's free list immediately.
+//     so each key's surviving candidate is the one the serial loop would
+//     have kept — independent of goroutine interleaving. Losers are recycled
+//     into the claiming worker's free list immediately.
 //
 //  2. Merge (sequential). The claim-table winners are drained, sorted by
-//     their deterministic order, and appended to the flat node arena in
-//     exactly the order the sequential search would have inserted them —
-//     sealing their keys into the visited map, assigning identical int32
-//     arena indices, and emitting the next frontier in identical order. Goal
+//     their deterministic order, and sealed into the visited set in exactly
+//     the order the serial loop would have inserted them, emitting the next
+//     frontier and the level's generation records in identical order. Goal
 //     hits short-circuit the merge at the first winner in order, and
 //     Stats.Visited is reconstructed from the winner's parent position, so
 //     witness, replayed run, stats, and truncation behaviour are all
-//     bit-identical to the sequential search's. The differential tests
-//     assert exactly this.
+//     bit-identical to the serial search's. The differential tests assert
+//     exactly this.
 //
 // The only intentional divergence is wasted speculative work: the parallel
 // search expands a whole level before applying the goal/budget/stop gates
-// that the sequential search applies per dequeued parent, so a level's tail
-// may be explored and discarded. Results are unaffected.
+// that the serial loop applies per dequeued parent, so a level's tail may be
+// explored and discarded. Results are unaffected.
 
 import (
 	"sort"
@@ -50,13 +50,12 @@ import (
 const ordShift = 20
 
 // candidate is one successor configuration produced during level expansion,
-// carrying everything the merge phase needs to finish the sequential
-// search's bookkeeping for it.
+// carrying everything the merge phase needs to finish the serial search's
+// bookkeeping for it.
 type candidate struct {
 	cfg     *sim.Configuration
 	key     uint64
 	ord     uint64
-	parent  int32
 	crashes int32
 	act     action
 	goalOK  bool
@@ -93,7 +92,8 @@ func newClaimTable() *claimTable {
 // configuration the caller should recycle: cand's own on loss, the evicted
 // claimant's on replacement, nil when cand took an empty slot. Candidates
 // for one key are behaviourally identical configurations (equal fingerprint
-// keys), so replacement only re-parents the node — goal results carry over.
+// keys), so replacement only re-parents the record — goal results carry
+// over.
 func (ct *claimTable) claim(cand candidate) *sim.Configuration {
 	s := &ct.shards[cand.key%claimShards]
 	s.mu.Lock()
@@ -111,7 +111,7 @@ func (ct *claimTable) claim(cand candidate) *sim.Configuration {
 }
 
 // take drains every pending claim into buf (reused across levels) sorted by
-// deterministic order — the exact insertion order of the sequential search.
+// deterministic order — the exact insertion order of the serial loop.
 func (ct *claimTable) take(buf []candidate) []candidate {
 	buf = buf[:0]
 	for i := range ct.shards {
@@ -126,7 +126,7 @@ func (ct *claimTable) take(buf []candidate) []candidate {
 
 // workerCtxs returns n search contexts for one parallel search. The first is
 // the explorer's own, so its free list keeps warming across consecutive
-// searches on the same Explorer, exactly as in the sequential path.
+// searches on the same Explorer, exactly as in the serial path.
 func (e *Explorer) workerCtxs(n int) []*searchCtx {
 	ws := make([]*searchCtx, n)
 	ws[0] = &e.sc
@@ -175,7 +175,6 @@ func (e *Explorer) expandLevel(ws []*searchCtx, frontier []qent, lo, hi int, vis
 						cfg:     cfg,
 						key:     sc.e.key(cfg, int(crashes)),
 						ord:     uint64(i)<<ordShift | uint64(ai),
-						parent:  parent.idx,
 						crashes: crashes,
 						act:     act,
 					}
@@ -207,85 +206,6 @@ func releaseLevel(ws []*searchCtx, frontier []qent, lo, hi int, keep *sim.Config
 	}
 }
 
-// searchParallel is the parallel frontier twin of the sequential BFS branch
-// of searchArena, with identical results: visited set, arena layout,
-// witness, stats, and truncation all match the sequential search exactly.
-func (e *Explorer) searchParallel(goal goalFunc, kind string) (*Witness, bool, *arena, error) {
-	start, err := e.initial()
-	if err != nil {
-		return nil, false, nil, err
-	}
-	ar := newArena()
-	rootIdx := ar.root(e.key(start, 0))
-	stats := Stats{}
-
-	if detail, ok := goal(&e.sc, start); ok {
-		run, err := e.replay(ar, rootIdx)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, ar, nil
-	}
-
-	ws := e.workerCtxs(e.searchWorkers())
-	ct := newClaimTable()
-	frontier := []qent{{cfg: start, idx: rootIdx}}
-	var winners []candidate
-	level := 0
-	for len(frontier) > 0 {
-		if stats.Visited >= e.opts.MaxConfigs {
-			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		if e.cancelled() {
-			stats.Truncated = true
-			stats.Cancelled = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		limit := len(frontier)
-		if remaining := e.opts.MaxConfigs - stats.Visited; limit > remaining {
-			limit = remaining
-		}
-		e.expandLevel(ws, frontier, 0, limit, ar.visited, ct, goal)
-		winners = ct.take(winners)
-
-		nextFrontier := make([]qent, 0, len(winners))
-		for _, w := range winners {
-			idx, fresh := ar.insert(w.key, w.parent, w.act)
-			if !fresh {
-				// Unreachable: sealed keys were dropped during expansion and
-				// within-level duplicates were resolved by the claim table.
-				ws[0].release(w.cfg)
-				continue
-			}
-			if w.goalOK {
-				// The sequential search finds this witness while expanding
-				// the winner's parent, having dequeued every parent up to
-				// and including it.
-				stats.Visited += int(w.ord>>ordShift) + 1
-				run, err := e.replay(ar, idx)
-				if err != nil {
-					return nil, false, nil, err
-				}
-				return &Witness{Kind: kind, Run: run, Detail: w.detail, Stats: stats}, true, ar, nil
-			}
-			nextFrontier = append(nextFrontier, qent{cfg: w.cfg, idx: idx, crashes: w.crashes})
-		}
-		stats.Visited += limit
-		releaseLevel(ws, frontier, 0, limit, nil)
-		if limit < len(frontier) {
-			// The budget ran out mid-level: the sequential search truncates
-			// with these parents still queued.
-			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-		}
-		frontier = nextFrontier
-		level++
-		e.progress(stats.Visited, level)
-	}
-	return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-}
-
 // valenceFromParallel is the parallel frontier twin of the sequential
 // valenceFrom, emulating its per-parent stop and budget gates during the
 // merge so that the returned values and stats match the sequential
@@ -298,7 +218,7 @@ func (e *Explorer) valenceFromParallel(start *sim.Configuration, crashesSpent, s
 	stats := Stats{}
 	// Valence only censuses decision values — no witness path is ever
 	// reconstructed — so revisit detection needs the compact visited set
-	// alone; no node arena is kept whatever the store mode.
+	// alone; no level records are kept whatever the store mode.
 	vis := newVisitedSet()
 	vis.Insert(e.key(start, crashesSpent))
 	ws := e.workerCtxs(e.searchWorkers())
@@ -335,7 +255,7 @@ func (e *Explorer) valenceFromParallel(start *sim.Configuration, crashesSpent, s
 				break
 			}
 			if !vis.Insert(w.key) {
-				ws[0].release(w.cfg) // unreachable, as in searchParallel
+				ws[0].release(w.cfg) // unreachable, as in runBoundedParallel
 				continue
 			}
 			collectDecisions(seenVals, w.cfg)

@@ -160,11 +160,11 @@ func TestParallelSearchWithOracle(t *testing.T) {
 			Workers: workers,
 		})
 	}
-	seqW, seqFound, seqAr, err := mk(1).searchArena(disagreementGoal, "disagreement")
+	seqW, seqFound, seqSt, err := mk(1).searchBounded(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parW, parFound, parAr, err := mk(4).searchArena(disagreementGoal, "disagreement")
+	parW, parFound, parSt, err := mk(4).searchBounded(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,8 @@ func TestParallelSearchWithOracle(t *testing.T) {
 		if runSignature(parW.Run) != runSignature(seqW.Run) {
 			t.Fatal("oracle witness runs diverged")
 		}
-	} else if parAr.visited.Len() != seqAr.visited.Len() {
-		t.Fatalf("oracle visited sets diverged: %d vs %d", parAr.visited.Len(), seqAr.visited.Len())
+	} else if parSt.vis.Len() != seqSt.vis.Len() {
+		t.Fatalf("oracle visited sets diverged: %d vs %d", parSt.vis.Len(), seqSt.vis.Len())
 	}
 }
 

@@ -110,8 +110,8 @@ package explore
 // buffer sizes, states) — it reads neither the visited set nor any search
 // order — so the serial BFS/DFS, the level-synchronous parallel frontier,
 // and the valence/critical analyses all enumerate byte-identical action
-// lists per configuration, and the PR 2 bit-identity guarantee (same
-// visited set, arena layout, witness, and stats at every worker count)
+// lists per configuration, and the bit-identity guarantee (same visited
+// set, level records, witness, and stats at every worker count)
 // carries over to reduced searches unchanged. Composition with
 // Options.Symmetry is sound for the same reason symmetry itself is: the
 // commutation argument above is applied at each concretely explored

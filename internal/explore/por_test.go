@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"testing"
 
 	"kset/internal/algorithms"
@@ -65,11 +66,11 @@ func TestPORVerdictParity(t *testing.T) {
 		for _, d := range porInstances() {
 			for _, g := range goals {
 				t.Run(l.name+"/"+d.name+"/"+g.name, func(t *testing.T) {
-					plainW, plainFound, _, err := l.plain(d).searchArena(g.goal, g.name)
+					plainW, plainFound, _, err := l.plain(d).searchBounded(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
-					porW, porFound, _, err := l.reduced(d).searchArena(g.goal, g.name)
+					porW, porFound, _, err := l.reduced(d).searchBounded(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -99,7 +100,7 @@ func TestPORVerdictParity(t *testing.T) {
 func TestPORStrictReductionUniformTheorem2(t *testing.T) {
 	d := diffInstance{"minwait-n4-uniform-t2", algorithms.MinWait{F: 1}, []sim.Value{0, 0, 0, 0}, []sim.ProcessID{1, 2, 3, 4}, 1}
 	visited := func(e *Explorer) int {
-		w, found, _, err := e.searchArena(disagreementGoal, "disagreement")
+		w, found, _, err := e.searchBounded(disagreementGoal, "disagreement")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,12 +149,12 @@ func TestPORParallelMatchesSerial(t *testing.T) {
 		for _, d := range porInstances() {
 			for _, g := range goals {
 				t.Run(name+"/"+d.name+"/"+g.name, func(t *testing.T) {
-					seqW, seqFound, seqAr, err := d.explorerPOR(1, symmetry).searchArena(g.goal, g.name)
+					seqW, seqFound, seqSt, err := d.explorerPOR(1, symmetry).searchBounded(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{2, 4} {
-						parW, parFound, parAr, err := d.explorerPOR(workers, symmetry).searchArena(g.goal, g.name)
+						parW, parFound, parSt, err := d.explorerPOR(workers, symmetry).searchBounded(g.goal, g.name)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -172,16 +173,7 @@ func TestPORParallelMatchesSerial(t *testing.T) {
 							}
 							continue
 						}
-						if parAr.visited.Len() != seqAr.visited.Len() || len(parAr.nodes) != len(seqAr.nodes) {
-							t.Fatalf("workers=%d: visited %d nodes %d, serial visited %d nodes %d",
-								workers, parAr.visited.Len(), len(parAr.nodes), seqAr.visited.Len(), len(seqAr.nodes))
-						}
-						seqAr.visited.Range(func(key uint64) bool {
-							if !parAr.visited.Contains(key) {
-								t.Fatalf("workers=%d: parallel search missed visited key %#x", workers, key)
-							}
-							return true
-						})
+						assertSameVisited(t, fmt.Sprintf("workers=%d", workers), parSt, seqSt)
 					}
 				})
 			}
@@ -277,11 +269,11 @@ func TestPORStandsDownWithoutDeliverAll(t *testing.T) {
 					POR:        por,
 				})
 			}
-			plainW, plainFound, plainAr, err := build(false).searchArena(disagreementGoal, "disagreement")
+			plainW, plainFound, plainSt, err := build(false).searchBounded(disagreementGoal, "disagreement")
 			if err != nil {
 				t.Fatal(err)
 			}
-			porW, porFound, porAr, err := build(true).searchArena(disagreementGoal, "disagreement")
+			porW, porFound, porSt, err := build(true).searchBounded(disagreementGoal, "disagreement")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,11 +281,11 @@ func TestPORStandsDownWithoutDeliverAll(t *testing.T) {
 				t.Fatalf("restricted-modes POR diverged: found=%t stats=%+v, plain found=%t stats=%+v",
 					porFound, porW.Stats, plainFound, plainW.Stats)
 			}
-			if porAr.visited.Len() != plainAr.visited.Len() {
-				t.Fatalf("restricted-modes POR visited %d keys, plain %d", porAr.visited.Len(), plainAr.visited.Len())
+			if porSt.vis.Len() != plainSt.vis.Len() {
+				t.Fatalf("restricted-modes POR visited %d keys, plain %d", porSt.vis.Len(), plainSt.vis.Len())
 			}
-			plainAr.visited.Range(func(key uint64) bool {
-				if !porAr.visited.Contains(key) {
+			plainSt.vis.Range(func(key uint64) bool {
+				if !porSt.vis.Contains(key) {
 					t.Fatalf("restricted-modes POR missed visited key %#x", key)
 				}
 				return true

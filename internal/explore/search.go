@@ -116,87 +116,84 @@ func (sc *searchCtx) quiescentBlocked(cfg *sim.Configuration) (sim.ProcessID, bo
 	return undecided, true
 }
 
-// qent is one frontier entry of a search: a live configuration, its arena
-// index, and the crash budget already spent reaching it.
+// qent is one frontier entry of a search: a live configuration and the
+// crash budget already spent reaching it.
 type qent struct {
 	cfg     *sim.Configuration
-	idx     int32
 	crashes int32
 }
 
 // search runs a BFS or DFS (per Options.Strategy) from the initial
-// configuration until goal holds. Visited detection keys the arena by
-// configuration fingerprint; retired configurations are recycled through the
-// search context's free list. BFS searches with more than one worker run on
-// the level-synchronous parallel frontier of parallel.go, which produces
-// results identical to the sequential search. Bounded stores
-// (Options.Store != StoreInMemory) route to the frontier-only engines of
-// bounded.go, whose results are bit-identical too.
+// configuration until goal holds. Every breadth-first search, whatever the
+// store and worker count, runs on the level-synchronous driver of
+// bounded.go (searchBounded), whose store only picks where the per-level
+// generation records go; depth-first searches run on searchDFS. Visited
+// detection keys the compact visited set by configuration fingerprint, and
+// retired configurations are recycled through the search context's free
+// list.
 func (e *Explorer) search(goal goalFunc, kind string) (*Witness, bool, error) {
 	if e.opts.Checkpoint != "" && e.opts.Store == StoreInMemory {
 		return nil, false, fmt.Errorf("explore: Options.Checkpoint requires a bounded store (StoreFrontierOnly or StoreSpill)")
 	}
-	if e.opts.Store != StoreInMemory {
-		if e.opts.Strategy == "dfs" {
-			return e.searchBoundedDFS(goal, kind)
-		}
-		return e.searchBounded(goal, kind)
+	if e.opts.Strategy == "dfs" {
+		return e.searchDFS(goal, kind)
 	}
-	w, found, _, err := e.searchArena(goal, kind)
+	w, found, _, err := e.searchBounded(goal, kind)
 	return w, found, err
 }
 
-// searchArena is search exposing the final arena, which the differential
-// tests inspect to prove visited-set equality between the sequential and
-// parallel engines.
-func (e *Explorer) searchArena(goal goalFunc, kind string) (*Witness, bool, *arena, error) {
-	dfs := e.opts.Strategy == "dfs"
-	if !dfs && e.searchWorkers() > 1 {
-		return e.searchParallel(goal, kind)
+// searchDFS is the depth-first search of every store: revisit detection on
+// the compact visited set, with witness paths kept as immutable cons lists
+// hanging off the stack, so memory is bounded by the visited keys plus the
+// live stack — abandoned branches are garbage-collected. Checkpointing is a
+// BFS feature: a DFS pause would have to persist the entire stack of full
+// configurations.
+func (e *Explorer) searchDFS(goal goalFunc, kind string) (*Witness, bool, error) {
+	if e.opts.Checkpoint != "" {
+		return nil, false, fmt.Errorf("explore: checkpointing requires the breadth-first strategy")
 	}
-
 	start, err := e.initial()
 	if err != nil {
-		return nil, false, nil, err
+		return nil, false, err
 	}
-	ar := newArena()
-	rootIdx := ar.root(e.key(start, 0))
-	queue := []qent{{cfg: start, idx: rootIdx}}
 	stats := Stats{}
-
 	if detail, ok := goal(&e.sc, start); ok {
-		run, err := e.replay(ar, rootIdx)
+		run, err := e.replayActions(nil)
 		if err != nil {
-			return nil, false, nil, err
+			return nil, false, err
 		}
-		return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, ar, nil
+		return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, nil
 	}
-
-	for len(queue) > 0 {
+	type pathNode struct {
+		parent *pathNode
+		act    action
+	}
+	type dent struct {
+		cfg     *sim.Configuration
+		path    *pathNode
+		crashes int32
+	}
+	vis := newVisitedSet()
+	vis.Insert(e.key(start, 0))
+	stack := []dent{{cfg: start}}
+	for len(stack) > 0 {
 		if stats.Visited >= e.opts.MaxConfigs {
 			stats.Truncated = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
+			return &Witness{Kind: kind, Stats: stats}, false, nil
 		}
 		if stats.Visited%cancelInterval == 0 && e.cancelled() {
+			// DFS has no pause path; a cancelled DFS just stops (truncated,
+			// not resumable).
 			stats.Truncated = true
 			stats.Cancelled = true
-			return &Witness{Kind: kind, Stats: stats}, false, ar, nil
+			return &Witness{Kind: kind, Stats: stats}, false, nil
 		}
 		if stats.Visited > 0 && stats.Visited%progressInterval == 0 {
-			// The arena engine interleaves its queue (BFS) or stack (DFS)
-			// without tracking depth, so progress reports carry no level.
 			e.progress(stats.Visited, -1)
 		}
-		var cur qent
-		if dfs {
-			cur = queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-		} else {
-			cur = queue[0]
-			queue = queue[1:]
-		}
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		stats.Visited++
-
 		for _, act := range e.actions(cur.cfg, int(cur.crashes)) {
 			next, ok := e.apply(cur.cfg, act)
 			if !ok {
@@ -206,34 +203,35 @@ func (e *Explorer) searchArena(goal goalFunc, kind string) (*Witness, bool, *are
 			if act.Crash {
 				crashes++
 			}
-			idx, fresh := ar.insert(e.key(next, int(crashes)), cur.idx, act)
-			if !fresh {
+			if !vis.Insert(e.key(next, int(crashes))) {
 				e.release(next)
 				continue
 			}
+			node := &pathNode{parent: cur.path, act: act}
 			if detail, ok := goal(&e.sc, next); ok {
-				run, err := e.replay(ar, idx)
-				if err != nil {
-					return nil, false, nil, err
+				var acts []action
+				for n := node; n != nil; n = n.parent {
+					acts = append(acts, n.act)
 				}
-				return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, ar, nil
+				for i, j := 0, len(acts)-1; i < j; i, j = i+1, j-1 {
+					acts[i], acts[j] = acts[j], acts[i]
+				}
+				run, err := e.replayActions(acts)
+				if err != nil {
+					return nil, false, err
+				}
+				return &Witness{Kind: kind, Run: run, Detail: detail, Stats: stats}, true, nil
 			}
-			queue = append(queue, qent{cfg: next, idx: idx, crashes: crashes})
+			stack = append(stack, dent{cfg: next, path: node, crashes: crashes})
 		}
 		e.release(cur.cfg)
 	}
-	return &Witness{Kind: kind, Stats: stats}, false, ar, nil
-}
-
-// replay re-executes the arena path to idx from the initial configuration,
-// producing a recorded run.
-func (e *Explorer) replay(ar *arena, idx int32) (*sim.Run, error) {
-	return e.replayActions(ar.path(idx))
+	return &Witness{Kind: kind, Stats: stats}, false, nil
 }
 
 // replayActions re-executes an explicit action sequence from the initial
-// configuration, producing a recorded run: the shared tail of arena-path
-// replay and of the bounded engines' log-reconstructed witnesses.
+// configuration, producing a recorded run: the shared tail of every witness
+// search (level-log paths, DFS cons-list paths, and the shard coordinator's).
 func (e *Explorer) replayActions(acts []action) (*sim.Run, error) {
 	// Always replay on the pointer engine: the Run and its Final
 	// configuration escape to callers (state inspection, further Apply

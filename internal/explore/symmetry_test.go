@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"testing"
 
 	"kset/internal/algorithms"
@@ -57,11 +58,11 @@ func TestSymmetryVerdictParity(t *testing.T) {
 	for _, d := range symInstances() {
 		for _, g := range goals {
 			t.Run(d.name+"/"+g.name, func(t *testing.T) {
-				plainW, plainFound, _, err := d.explorerWorkers(1).searchArena(g.goal, g.name)
+				plainW, plainFound, _, err := d.explorerWorkers(1).searchBounded(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				symW, symFound, _, err := d.explorerSym(1).searchArena(g.goal, g.name)
+				symW, symFound, _, err := d.explorerSym(1).searchBounded(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,11 +89,11 @@ func TestSymmetryVerdictParity(t *testing.T) {
 // configurations than the plain search.
 func TestSymmetryStrictReductionUniformTheorem2(t *testing.T) {
 	d := diffInstance{"minwait-n4-uniform-t2", algorithms.MinWait{F: 1}, []sim.Value{0, 0, 0, 0}, []sim.ProcessID{1, 2, 3, 4}, 1}
-	plainW, plainFound, _, err := d.explorerWorkers(1).searchArena(disagreementGoal, "disagreement")
+	plainW, plainFound, _, err := d.explorerWorkers(1).searchBounded(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
-	symW, symFound, _, err := d.explorerSym(1).searchArena(disagreementGoal, "disagreement")
+	symW, symFound, _, err := d.explorerSym(1).searchBounded(disagreementGoal, "disagreement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +127,12 @@ func TestSymmetryParallelMatchesSerial(t *testing.T) {
 	for _, d := range symInstances() {
 		for _, g := range goals {
 			t.Run(d.name+"/"+g.name, func(t *testing.T) {
-				seqW, seqFound, seqAr, err := d.explorerSym(1).searchArena(g.goal, g.name)
+				seqW, seqFound, seqSt, err := d.explorerSym(1).searchBounded(g.goal, g.name)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, workers := range []int{2, 4} {
-					parW, parFound, parAr, err := d.explorerSym(workers).searchArena(g.goal, g.name)
+					parW, parFound, parSt, err := d.explorerSym(workers).searchBounded(g.goal, g.name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -150,16 +151,7 @@ func TestSymmetryParallelMatchesSerial(t *testing.T) {
 						}
 						continue
 					}
-					if parAr.visited.Len() != seqAr.visited.Len() || len(parAr.nodes) != len(seqAr.nodes) {
-						t.Fatalf("workers=%d: visited %d nodes %d, serial visited %d nodes %d",
-							workers, parAr.visited.Len(), len(parAr.nodes), seqAr.visited.Len(), len(seqAr.nodes))
-					}
-					seqAr.visited.Range(func(key uint64) bool {
-						if !parAr.visited.Contains(key) {
-							t.Fatalf("workers=%d: parallel search missed visited key %#x", workers, key)
-						}
-						return true
-					})
+					assertSameVisited(t, fmt.Sprintf("workers=%d", workers), parSt, seqSt)
 				}
 			})
 		}

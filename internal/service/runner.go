@@ -14,7 +14,7 @@ import (
 // misreading a degradation notice as the counters jumping backward.
 type ProgressUpdate struct {
 	// Visited is the cumulative visited-configuration count; Level is the
-	// sealed BFS level (-1 from depth-unaware engines).
+	// sealed BFS level (-1 from depth-first searches).
 	Visited int
 	Level   int
 	// Degraded, when non-empty, reports that the job's crash durability

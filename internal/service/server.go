@@ -572,7 +572,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // Progress is a job's live search progress: the cumulative visited count
 // and the most recently sealed BFS level (-1 before the first report and
-// for depth-unaware engines).
+// for depth-first searches).
 type Progress struct {
 	Visited int64 `json:"visited"`
 	Level   int64 `json:"level"`

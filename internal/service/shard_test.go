@@ -17,7 +17,7 @@ import (
 
 // shardSearchSpec is the fast search instance the exchange tests shard: a
 // MinWait system with a disagreement witness a few BFS levels deep, on the
-// frontier store so per-level progress is emitted.
+// frontier store, whose witness is rebuilt by a quiet re-search.
 func shardSearchSpec() InstanceSpec {
 	return InstanceSpec{Alg: "minwait", N: 3, F: 1, Goal: GoalSearch, Store: "frontier"}
 }

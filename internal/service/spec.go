@@ -1,7 +1,7 @@
 // Package service implements the verification-as-a-service layer behind
 // cmd/ksetd: an HTTP/JSON job server that accepts impossibility-check and
 // consensus-failure-search jobs, runs them on a bounded worker pool through
-// the globals-free kset.Searcher API with per-job context cancellation, and
+// the kset.Searcher API with per-job context cancellation, and
 // caches completed verdicts content-addressed by the instance digest — a
 // repeat query for the same instance is a cache hit, not a re-search.
 package service
@@ -61,7 +61,7 @@ type InstanceSpec struct {
 	// Store selects the memory regime: "" or "inmem", "frontier", or
 	// "spill". Not part of the digest.
 	Store string `json:"store,omitempty"`
-	// Packed selects the configuration engine: "" or "off", "on"/"auto"
+	// Packed selects the configuration engine: "" or "off", or "on"
 	// (explore.ParsePacked spelling, silent fallback where unsupported).
 	// Not part of the digest: verdicts are bit-identical across engines.
 	Packed string `json:"packed,omitempty"`

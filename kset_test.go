@@ -1,9 +1,34 @@
 package kset
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"kset/internal/explore"
 )
+
+// newSearcher builds a Searcher from o, failing the test on invalid options.
+func newSearcher(tb testing.TB, o Options) *Searcher {
+	tb.Helper()
+	s, err := NewSearcher(o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// findFailure runs s's condition-(C) search over an explicit live set with a
+// background context.
+func findFailure(s *Searcher, alg Algorithm, inputs []Value, live []ProcessID, crashBudget, maxConfigs int) (*explore.Witness, bool, error) {
+	return s.FindConsensusFailure(context.Background(), SearchRequest{
+		Alg:         alg,
+		Inputs:      inputs,
+		Live:        live,
+		CrashBudget: crashBudget,
+		MaxConfigs:  maxConfigs,
+	})
+}
 
 func TestDistinctInputs(t *testing.T) {
 	in := DistinctInputs(5)
@@ -70,7 +95,7 @@ func TestSimulateRejectsBadDetector(t *testing.T) {
 }
 
 func TestFindConsensusFailureFacade(t *testing.T) {
-	w, found, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
+	w, found, err := findFailure(newSearcher(t, Options{}), NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +108,7 @@ func TestFindConsensusFailureFacade(t *testing.T) {
 }
 
 func TestTheorem10ConstructionSmall(t *testing.T) {
-	rep, merged, err := Theorem10Construction(5, 2, 80000)
+	rep, merged, err := newSearcher(t, Options{}).Theorem10Construction(context.Background(), 5, 2, 80000)
 	if err != nil {
 		t.Fatal(err)
 	}

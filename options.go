@@ -1,13 +1,11 @@
 package kset
 
-// This file is the globals-free search API of the facade: a first-class
-// Options value plus an immutable Searcher built from it, threaded with
-// context.Context cancellation down into internal/explore. It replaces the
-// mutable Search* package globals of kset.go for all new code — concurrent
-// searches configured through globals are a data race by construction,
-// which is exactly what a long-running job server (cmd/ksetd) cannot have.
-// The globals remain as deprecated shims feeding DefaultSearcher, so
-// existing callers and tests keep their behaviour bit for bit.
+// This file is the search API of the facade: a first-class Options value
+// plus an immutable Searcher built from it, threaded with context.Context
+// cancellation down into internal/explore. Every condition-(C) search the
+// package runs is configured through a Searcher, so concurrent searches
+// with different knobs — what a long-running job server (cmd/ksetd) runs —
+// never share mutable configuration.
 
 import (
 	"context"
@@ -17,45 +15,71 @@ import (
 	"kset/internal/sim"
 )
 
-// Options bundles the facade's search knobs in CLI spelling — one immutable
-// value instead of the six deprecated Search* globals. The zero value is
-// the default configuration (GOMAXPROCS workers, no reductions, in-memory
-// arena store, no checkpointing, crash-only faults) and is always valid.
+// Options bundles the facade's search knobs in CLI spelling. The zero value
+// is the default configuration (GOMAXPROCS workers, no reductions,
+// in-memory store, no checkpointing, crash-only faults, pointer engine) and
+// is always valid.
 type Options struct {
 	// Workers caps the goroutines expanding the frontier of each
-	// breadth-first condition-(C) search (0 = GOMAXPROCS, 1 = the exact
-	// sequential legacy search). Results are bit-identical at every worker
-	// count; see the SearchWorkers global for the full discussion.
+	// breadth-first condition-(C) search (FindConsensusFailure, the E6
+	// valence analyses, and engine instances configured for breadth-first
+	// search): 0 = GOMAXPROCS, 1 = the serial search. Results — visited
+	// set, witness, stats — are bit-identical at every worker count, so the
+	// knob is purely a performance control. It composes with SweepWorkers:
+	// sweeps parallelize across independent experiment cells, Workers
+	// parallelizes inside one search.
 	Workers int
-	// Symmetry enables orbit-canonical revisit detection (SearchSymmetry).
+	// Symmetry enables orbit-canonical revisit detection: configurations
+	// that are process renamings of each other — under permutations
+	// preserving the proposal assignment and the live set — are explored
+	// once, while every reported witness stays a concrete, replayable run.
+	// Pairwise distinct proposals (the Theorem 1 requirement) leave nothing
+	// to collapse; uniform- and block-input searches shrink by up to the
+	// stabilizer's size. A sound no-op for algorithms that are not
+	// renaming-equivariant (FLPKSet); see explore.Options.Symmetry.
 	Symmetry bool
-	// POR enables commutativity-based partial-order reduction (SearchPOR).
+	// POR enables commutativity-based partial-order reduction: once every
+	// live process has provably finished sending, each expansion keeps only
+	// one delivering process's steps, and revisit detection collapses
+	// behaviourally inert crashed-slot content. Verdicts and the valence
+	// tables are those of the unreduced search; only the visited count
+	// shrinks. It composes with Symmetry and is a sound no-op for
+	// oracle-backed searches; see explore.Options.POR.
 	POR bool
-	// Store selects the memory regime: "" or "inmem", "frontier", or
-	// "spill" (SearchStore).
+	// Store selects the memory regime: "" or "inmem" keeps each BFS level's
+	// 8-byte generation records in memory (witnesses read straight off
+	// them); "frontier" drops them, keeping only the ~16 B/state visited
+	// set and two BFS levels, and reconstructs witnesses by a bounded
+	// re-search; "spill" streams them to a temporary disk file so witnesses
+	// and checkpoints never re-search. Verdicts, stats, and witnesses are
+	// bit-identical across the three; see explore.Options.Store.
 	Store string
-	// Checkpoint names the directory truncated bounded searches pause into,
-	// empty for none (SearchCheckpoint). Requires a bounded Store.
+	// Checkpoint names the directory truncated bounded breadth-first
+	// searches pause into, empty for none: a search that stops at its
+	// MaxConfigs budget writes a small self-keyed checkpoint file and a
+	// later identical search resumes where it stopped. Requires a bounded
+	// Store; see explore.Options.Checkpoint.
 	Checkpoint string
 	// Faults selects the condition-(C) fault adversary in
-	// explore.ParseFaults spelling: "" or "crash", or
-	// "model[:budget[:maxfaulty]]" (SearchFaults).
+	// explore.ParseFaults spelling: "" or "crash" keeps the crash-only
+	// adversary; "send-omission", "receive-omission", or "byzantine",
+	// optionally suffixed ":budget" (fault events per process, default 1)
+	// and ":maxfaulty" (distinct faulty processes, default unbounded), arms
+	// the corresponding budgeted fault branching. POR stands down under a
+	// non-crash model.
 	Faults string
 	// Packed selects the configuration engine of the condition-(C)
-	// searches: "" or "off" for the pointer engine, "on" (or "auto") for
-	// the packed struct-of-arrays engine, which clones configurations with
-	// flat memcpys instead of per-process allocations and falls back
-	// silently where an algorithm/system pair has no packed encoding (see
+	// searches: "" or "off" for the pointer engine, "on" for the packed
+	// struct-of-arrays engine, which clones configurations with flat
+	// memcpys instead of per-process allocations and falls back silently
+	// where an algorithm/system pair has no packed encoding (see
 	// explore.Options.Packed). Like Workers and Store it never changes a
 	// verdict, witness, or visited set, and it is excluded from digests —
 	// cached verdicts and checkpoints interoperate across both engines.
-	// There is no corresponding legacy global: the knob postdates the
-	// migration to Options.
 	Packed string
 }
 
-// Validate reports whether the options' string spellings parse. It is the
-// value-type replacement for ApplySearchConfig's validation half.
+// Validate reports whether the options' string spellings parse.
 func (o Options) Validate() error {
 	if _, err := explore.ParseStore(o.Store); err != nil {
 		return err
@@ -71,9 +95,8 @@ func (o Options) Validate() error {
 
 // Searcher is an immutable, goroutine-safe handle on a validated Options
 // value: every condition-(C) search it spawns uses exactly these knobs, so
-// concurrent searches with different configurations are isolated — the
-// property the mutable Search* globals could not provide. Construct with
-// NewSearcher; DefaultSearcher derives one from the deprecated globals.
+// concurrent searches with different configurations are isolated.
+// Construct with NewSearcher.
 type Searcher struct {
 	opts   Options
 	store  explore.Store
@@ -98,37 +121,12 @@ func NewSearcher(o Options) (*Searcher, error) {
 	return &Searcher{opts: o, store: store, faults: faults, packed: packed}, nil
 }
 
-// DefaultSearcher returns a Searcher snapshotting the current values of the
-// deprecated Search* globals — the bridge that keeps global-configured
-// callers (and the package-level helpers) working during the migration. It
-// panics on unparsable globals, matching the legacy helpers' semantics: the
-// globals are set programmatically or by already-validated CLI flags, so an
-// invalid value is a programming error. New code should construct Options
-// directly and use NewSearcher.
-func DefaultSearcher() *Searcher {
-	s, err := NewSearcher(Options{
-		Workers:    SearchWorkers,
-		Symmetry:   SearchSymmetry,
-		POR:        SearchPOR,
-		Store:      SearchStore,
-		Checkpoint: SearchCheckpoint,
-		Faults:     SearchFaults,
-	})
-	if err != nil {
-		panic("kset: invalid Search* globals: " + err.Error())
-	}
-	return s
-}
-
 // Options returns the validated options the Searcher was built from.
 func (s *Searcher) Options() Options { return s.opts }
 
 // orDefault resolves a possibly-nil Searcher to the zero-options default:
-// the convention of the experiment parameter structs, whose zero value now
-// means "default knobs" rather than "whatever the deprecated Search*
-// globals currently hold". Callers who want global-driven configuration
-// must pass DefaultSearcher() explicitly — nothing in this repository does
-// anymore (the Search*-reference lint step in CI keeps it that way).
+// the convention of the experiment parameter structs, whose zero value
+// means "default knobs".
 func orDefault(s *Searcher) *Searcher {
 	if s != nil {
 		return s
@@ -188,8 +186,10 @@ type SearchRequest struct {
 	CrashBudget int
 	// MaxConfigs bounds the exploration (0 = explore package default).
 	MaxConfigs int
-	// OnProgress, when non-nil, receives periodic (visited, level) progress
-	// from the search; level is -1 from engines that do not track depth.
+	// OnProgress, when non-nil, receives (visited, level) progress from the
+	// search: cumulative visited counts at each sealed BFS level 1, 2, ...
+	// for breadth-first searches, at every Store; level is -1 only from
+	// depth-first searches, which report every 8,192 configurations.
 	OnProgress func(visited, level int)
 	// OnSnapshotError, when non-nil, is notified once if the search's
 	// best-effort level-boundary checkpoint snapshots start failing: the

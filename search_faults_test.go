@@ -7,42 +7,37 @@ import (
 	"kset/internal/testutil"
 )
 
-// TestSearchFaultsFacadeParity proves the SearchFaults knob behaves on the
-// public facade exactly as the substrate promises: the empty string and the
+// TestSearchFaultsFacadeParity proves Options.Faults behaves on the public
+// facade exactly as the substrate promises: the empty string and the
 // explicit "crash" spelling drive bit-identical searches (stats and
 // verdict), and arming a fault model only strengthens the adversary — a
 // crash-only witness stays findable, and its replayed run carries the
 // armed model's fault events when the adversary uses them.
 func TestSearchFaultsFacadeParity(t *testing.T) {
-	defer func(s string) { SearchFaults = s }(SearchFaults)
-
 	inputs := DistinctInputs(3)
 	live := []ProcessID{1, 2, 3}
 
-	SearchFaults = ""
-	plainW, plainFound, err := FindConsensusFailure(NewMinWait(1), inputs, live, 1, 0)
+	plainW, plainFound, err := findFailure(newSearcher(t, Options{}), NewMinWait(1), inputs, live, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	SearchFaults = "crash"
-	crashW, crashFound, err := FindConsensusFailure(NewMinWait(1), inputs, live, 1, 0)
+	crashW, crashFound, err := findFailure(newSearcher(t, Options{Faults: "crash"}), NewMinWait(1), inputs, live, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if crashFound != plainFound || crashW.Stats != plainW.Stats {
-		t.Fatalf("SearchFaults=crash diverged from empty: %+v/%t vs %+v/%t",
+		t.Fatalf("Faults=crash diverged from empty: %+v/%t vs %+v/%t",
 			crashW.Stats, crashFound, plainW.Stats, plainFound)
 	}
 
 	for _, spec := range []string{"send-omission:1:1", "receive-omission:1:1", "byzantine:1:1"} {
-		SearchFaults = spec
-		w, found, err := FindConsensusFailure(NewMinWait(1), inputs, live, 1, 0)
+		w, found, err := findFailure(newSearcher(t, Options{Faults: spec}), NewMinWait(1), inputs, live, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if found != plainFound {
-			t.Fatalf("SearchFaults=%s flipped the verdict: found=%t, crash-only %t", spec, found, plainFound)
+			t.Fatalf("Faults=%s flipped the verdict: found=%t, crash-only %t", spec, found, plainFound)
 		}
 		if found {
 			testutil.RevalidateWitness(t, w.Kind, w.Run)
@@ -50,34 +45,29 @@ func TestSearchFaultsFacadeParity(t *testing.T) {
 	}
 }
 
-// TestApplySearchConfigFaults pins the shared flag-mirroring helper's fault
-// handling: a valid spec lands in SearchFaults, an invalid one is rejected
-// before any global mutates.
-func TestApplySearchConfigFaults(t *testing.T) {
-	defer func(w int, sym, por bool, st, ck, f string) {
-		SearchWorkers, SearchSymmetry, SearchPOR, SearchStore, SearchCheckpoint, SearchFaults = w, sym, por, st, ck, f
-	}(SearchWorkers, SearchSymmetry, SearchPOR, SearchStore, SearchCheckpoint, SearchFaults)
-
-	if err := ApplySearchConfig(SearchConfig{Workers: 2, Faults: "send-omission:2:1", Store: "frontier"}); err != nil {
-		t.Fatal(err)
-	}
-	if SearchFaults != "send-omission:2:1" || SearchWorkers != 2 || SearchStore != "frontier" {
-		t.Fatalf("config not mirrored: faults=%q workers=%d store=%q", SearchFaults, SearchWorkers, SearchStore)
+// TestSearcherValidatesSpellings pins the facade's spelling validation: a
+// Searcher keeps valid knobs verbatim, and NewSearcher and Options.Validate
+// reject a bad store, fault model, or packed mode with an error naming it.
+func TestSearcherValidatesSpellings(t *testing.T) {
+	o := Options{Workers: 2, Faults: "send-omission:2:1", Store: "frontier"}
+	if got := newSearcher(t, o).Options(); got != o {
+		t.Fatalf("Searcher options %+v, want %+v", got, o)
 	}
 
-	before := SearchFaults
-	err := ApplySearchConfig(SearchConfig{Faults: "meteor"})
-	if err == nil {
-		t.Fatal("ApplySearchConfig accepted an unknown fault model")
-	}
-	if !strings.Contains(err.Error(), "meteor") {
-		t.Fatalf("error %q does not name the bad model", err)
-	}
-	if SearchFaults != before {
-		t.Fatalf("failed ApplySearchConfig mutated SearchFaults to %q", SearchFaults)
-	}
-
-	if err := ApplySearchConfig(SearchConfig{Faults: "crash:1"}); err == nil {
-		t.Fatal("ApplySearchConfig accepted a budgeted crash model")
+	for _, bad := range []struct {
+		opts Options
+		name string
+	}{
+		{Options{Faults: "meteor"}, "meteor"},
+		{Options{Faults: "crash:1"}, "crash:1"},
+		{Options{Store: "tape"}, "tape"},
+		{Options{Packed: "auto"}, "auto"},
+	} {
+		if err := bad.opts.Validate(); err == nil || !strings.Contains(err.Error(), bad.name) {
+			t.Fatalf("Validate(%+v) = %v, want an error naming %q", bad.opts, err, bad.name)
+		}
+		if _, err := NewSearcher(bad.opts); err == nil || !strings.Contains(err.Error(), bad.name) {
+			t.Fatalf("NewSearcher(%+v) = %v, want an error naming %q", bad.opts, err, bad.name)
+		}
 	}
 }

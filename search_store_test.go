@@ -6,16 +6,12 @@ import (
 	"testing"
 )
 
-// TestSearchStoreFacadeParity proves the SearchStore knob is purely a
+// TestSearchStoreFacadeParity proves Options.Store is purely a
 // memory-regime control on the public facade: the condition-(C) search
 // finds the identical witness with identical stats under every store mode,
 // at sequential and parallel worker counts.
 func TestSearchStoreFacadeParity(t *testing.T) {
-	defer func(s string, w int) { SearchStore, SearchWorkers = s, w }(SearchStore, SearchWorkers)
-
-	SearchStore = ""
-	SearchWorkers = 1
-	refW, refFound, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
+	refW, refFound, err := findFailure(newSearcher(t, Options{Workers: 1}), NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +20,8 @@ func TestSearchStoreFacadeParity(t *testing.T) {
 	}
 	for _, store := range []string{"inmem", "frontier", "spill"} {
 		for _, workers := range []int{1, 4} {
-			SearchStore = store
-			SearchWorkers = workers
-			w, found, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
+			s := newSearcher(t, Options{Store: store, Workers: workers})
+			w, found, err := findFailure(s, NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,11 +42,7 @@ func TestSearchStoreBivalenceTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, store := range []string{"frontier", "spill"} {
-		s, err := NewSearcher(Options{Store: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, err := ExperimentBivalenceWith(s)
+		tab, err := ExperimentBivalenceWith(newSearcher(t, Options{Store: store}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,16 +54,12 @@ func TestSearchStoreBivalenceTable(t *testing.T) {
 
 // TestSearchCheckpointFacade proves the checkpoint flow end-to-end through
 // the facade: a budget-truncated bounded search leaves a checkpoint file in
-// SearchCheckpoint, and rerunning the identical search with a full budget
+// Options.Checkpoint, and rerunning the identical search with a full budget
 // resumes from it and lands on the uninterrupted result.
 func TestSearchCheckpointFacade(t *testing.T) {
-	defer func(s, c string) { SearchStore, SearchCheckpoint = s, c }(SearchStore, SearchCheckpoint)
-
 	alg, inputs, live := NewMinWait(1), []Value{0, 0, 0}, []ProcessID{1, 2, 3}
 
-	SearchStore = "frontier"
-	SearchCheckpoint = ""
-	refW, refFound, err := FindConsensusFailure(alg, inputs, live, 1, 0)
+	refW, refFound, err := findFailure(newSearcher(t, Options{Store: "frontier"}), alg, inputs, live, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +68,15 @@ func TestSearchCheckpointFacade(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	SearchCheckpoint = dir
-	if _, _, err := FindConsensusFailure(alg, inputs, live, 1, refW.Stats.Visited/3); err != nil {
+	s := newSearcher(t, Options{Store: "frontier", Checkpoint: dir})
+	if _, _, err := findFailure(s, alg, inputs, live, 1, refW.Stats.Visited/3); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no checkpoint files written to %s (err=%v)", dir, err)
 	}
-	w, found, err := FindConsensusFailure(alg, inputs, live, 1, 0)
+	w, found, err := findFailure(s, alg, inputs, live, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,19 +2,15 @@ package kset
 
 import "testing"
 
-// TestSearchWorkersFacadeParity proves the SearchWorkers knob is purely a
+// TestSearchWorkersFacadeParity proves Options.Workers is purely a
 // performance control on the public facade: the condition-(C) search finds
 // the identical witness with identical stats at any worker count.
 func TestSearchWorkersFacadeParity(t *testing.T) {
-	defer func(w int) { SearchWorkers = w }(SearchWorkers)
-
-	SearchWorkers = 1
-	seqW, seqFound, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
+	seqW, seqFound, err := findFailure(newSearcher(t, Options{Workers: 1}), NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SearchWorkers = 4
-	parW, parFound, err := FindConsensusFailure(NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
+	parW, parFound, err := findFailure(newSearcher(t, Options{Workers: 4}), NewMinWait(1), DistinctInputs(3), []ProcessID{1, 2, 3}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,22 +27,18 @@ func TestSearchWorkersFacadeParity(t *testing.T) {
 }
 
 // TestSearchWorkersBivalenceTable proves the E6 valence table — whose
-// searches run on the parallel frontier when SearchWorkers > 1 — renders
+// searches run on the parallel frontier when Options.Workers > 1 — renders
 // identically at any worker count.
 func TestSearchWorkersBivalenceTable(t *testing.T) {
-	defer func(w int) { SearchWorkers = w }(SearchWorkers)
-
-	SearchWorkers = 1
-	seq, err := ExperimentBivalence()
+	seq, err := ExperimentBivalenceWith(newSearcher(t, Options{Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	SearchWorkers = 4
-	par, err := ExperimentBivalence()
+	par, err := ExperimentBivalenceWith(newSearcher(t, Options{Workers: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.String() != seq.String() {
-		t.Fatalf("E6 table changed under SearchWorkers=4:\n%s\nvs sequential:\n%s", par.String(), seq.String())
+		t.Fatalf("E6 table changed under Workers=4:\n%s\nvs sequential:\n%s", par.String(), seq.String())
 	}
 }
